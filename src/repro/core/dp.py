@@ -87,5 +87,8 @@ def max_flow(series: Sequence[Series], delta: float) -> float:
     """
     best = 0.0
     for a in series[0].ts:
-        best = max(best, max_flow_window(series, a, a + delta))
+        # The window ends at its last timestamp within delta of a.
+        ends = [r.ts[e] for r in series if (e := r.last_within(a, delta)) >= 0]
+        if ends:
+            best = max(best, max_flow_window(series, a, max(ends)))
     return best

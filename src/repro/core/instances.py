@@ -23,9 +23,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-NEG_INF = float("-inf")
+
+def within_delta(t0: float, t1: float, delta: float) -> bool:
+    """The duration bound of Definition 3.2: ``t1`` is at most ``delta`` after ``t0``.
+
+    Every path compares in this one form; ``t1 <= t0 + delta`` rounds
+    differently in floating point and admits spans the definition rejects.
+    """
+    return t1 - t0 <= delta
 
 
 class Series:
@@ -67,6 +74,17 @@ class Series:
     def last_at_or_before(self, t: float) -> int:
         """Index of the last element with timestamp <= t, or -1."""
         return bisect_right(self.ts, t) - 1
+
+    def last_within(self, t0: float, delta: float) -> int:
+        """Index of the last element ``t`` with ``within_delta(t0, t, delta)``, or -1."""
+        i = self.last_at_or_before(t0 + delta)
+        # t0 + delta is rounded: step to the exact boundary of within_delta,
+        # which holds on a prefix of the series since t - t0 is monotone in t.
+        while i >= 0 and not within_delta(t0, self.ts[i], delta):
+            i -= 1
+        while i + 1 < len(self.ts) and within_delta(t0, self.ts[i + 1], delta):
+            i += 1
+        return i
 
 
 Ranges = tuple[tuple[int, int], ...]  # per motif edge: (start, end) inclusive
@@ -111,9 +129,7 @@ def is_valid(series: Sequence[Series], ranges: Ranges, delta: float, phi: float)
             nr, (ns, _) = series[i + 1], ranges[i + 1]
             if not r.ts[e] < nr.ts[ns]:
                 return False
-    t_start = series[0].ts[ranges[0][0]]
-    t_end = series[-1].ts[ranges[-1][1]]
-    return t_end - t_start <= delta
+    return within_delta(series[0].ts[ranges[0][0]], series[-1].ts[ranges[-1][1]], delta)
 
 
 def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
@@ -134,13 +150,13 @@ def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
         if s > 0:
             t = r.ts[s - 1]
             order_ok = i == 0 or t > series[i - 1].ts[ranges[i - 1][1]]
-            span_ok = i > 0 or t_end - t <= delta
+            span_ok = i > 0 or within_delta(t, t_end, delta)
             if order_ok and span_ok:
                 return False
         if e + 1 < len(r):
             t = r.ts[e + 1]
             order_ok = i == m - 1 or t < series[i + 1].ts[ranges[i + 1][0]]
-            span_ok = i < m - 1 or t - t_start <= delta
+            span_ok = i < m - 1 or within_delta(t_start, t, delta)
             if order_ok and span_ok:
                 return False
     return True
@@ -148,9 +164,10 @@ def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
 
 def _find_instances(
     series: Sequence[Series],
+    a: float,
+    delta: float,
     edge_i: int,
     start_idx: int,
-    hi: float,
     phi_fn: Callable[[], float],
     out: list[Ranges],
     prefix: Ranges,
@@ -158,12 +175,13 @@ def _find_instances(
     """Procedure FindInstances of Algorithm 1 (recursive over the path).
 
     ``start_idx`` is the first eligible element of ``series[edge_i]`` (the
-    one right after the previous edge-set's last timestamp), ``hi`` the
-    inclusive window end. ``phi_fn`` is re-read at every prune point so the
-    top-k variant can tighten it while enumeration is in flight.
+    one right after the previous edge-set's last timestamp); the window
+    holds the elements within ``delta`` of its anchor ``a``. ``phi_fn`` is
+    re-read at every prune point so the top-k variant can tighten it while
+    enumeration is in flight.
     """
     r = series[edge_i]
-    last = r.last_at_or_before(hi)
+    last = r.last_within(a, delta)
     if start_idx > last:
         return
     if edge_i == len(series) - 1:
@@ -176,50 +194,56 @@ def _find_instances(
         if r.range_sum(start_idx, e) >= phi_fn():  # phi prefix-pruning (line 16)
             _find_instances(
                 series,
+                a,
+                delta,
                 edge_i + 1,
                 series[edge_i + 1].first_after(r.ts[e]),
-                hi,
                 phi_fn,
                 out,
                 prefix + ((start_idx, e),),
             )
 
 
-def enumerate_instances(
-    series: Sequence[Series],
-    delta: float,
-    phi: float,
-    *,
-    phi_fn: Callable[[], float] | None = None,
-) -> list[Instance]:
-    """All maximal instances of the motif within one structural match.
+def maximal_candidates(
+    series: Sequence[Series], delta: float, phi_fn: Callable[[], float]
+) -> Iterator[Ranges]:
+    """Algorithm 1's window loop: each maximal instance's ranges, once.
 
     Windows of length ``delta`` are anchored at every interaction of the
     first motif edge (a maximal instance's temporally first element belongs
-    to ``R(e_1)``); candidates from FindInstances are then filtered through
-    the Definition 3.3 maximality check. Results are sorted by
-    (t_start, ranges) for determinism.
+    to ``R(e_1)``). A window's candidates are yielded only after
+    FindInstances has finished it, so a consumer that raises ``phi_fn``
+    (the top-k heap) does so between windows; each is checked against
+    Definition 3.3 first.
     """
     if any(len(r) == 0 for r in series):
-        return []
-    get_phi = phi_fn if phi_fn is not None else (lambda: phi)
-    first = series[0]
-    results: dict[Ranges, Instance] = {}
-    for k in range(len(first)):
-        a = first.ts[k]
+        return
+    seen: set[Ranges] = set()
+    for k, a in enumerate(series[0].ts):
         candidates: list[Ranges] = []
-        _find_instances(series, 0, k, a + delta, get_phi, candidates, ())
+        _find_instances(series, a, delta, 0, k, phi_fn, candidates, ())
         for ranges in candidates:
-            if ranges in results:
-                continue
-            if is_maximal(series, ranges, delta):
-                results[ranges] = Instance(
-                    ranges=ranges,
-                    flow=instance_flow(series, ranges),
-                    t_start=series[0].ts[ranges[0][0]],
-                    t_end=series[-1].ts[ranges[-1][1]],
-                )
-    return sorted(results.values(), key=lambda x: (x.t_start, x.ranges))
+            if ranges not in seen:
+                seen.add(ranges)
+                if is_maximal(series, ranges, delta):
+                    yield ranges
+
+
+def enumerate_instances(series: Sequence[Series], delta: float, phi: float) -> list[Instance]:
+    """All maximal instances of the motif within one structural match.
+
+    Results are sorted by (t_start, ranges) for determinism.
+    """
+    out = [
+        Instance(
+            ranges=ranges,
+            flow=instance_flow(series, ranges),
+            t_start=series[0].ts[ranges[0][0]],
+            t_end=series[-1].ts[ranges[-1][1]],
+        )
+        for ranges in maximal_candidates(series, delta, lambda: phi)
+    ]
+    return sorted(out, key=lambda x: (x.t_start, x.ranges))
 
 
 def count_instances(series: Sequence[Series], delta: float, phi: float) -> int:

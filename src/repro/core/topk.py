@@ -13,14 +13,7 @@ import heapq
 from itertools import count
 from typing import Iterable, Sequence
 
-from .instances import (
-    Instance,
-    Ranges,
-    Series,
-    _find_instances,
-    instance_flow,
-    is_maximal,
-)
+from .instances import Series, instance_flow, maximal_candidates
 
 
 class TopKHeap:
@@ -68,20 +61,8 @@ def topk_scan_match(
     Runs Algorithm 1's window/prefix enumeration with the heap's floating
     threshold in place of phi, checking maximality before offering.
     """
-    if any(len(r) == 0 for r in series):
-        return
-    first = series[0]
-    seen: set[Ranges] = set()
-    for k in range(len(first)):
-        a = first.ts[k]
-        candidates: list[Ranges] = []
-        _find_instances(series, 0, k, a + delta, heap.threshold, candidates, ())
-        for ranges in candidates:
-            if ranges in seen:
-                continue
-            seen.add(ranges)
-            if is_maximal(series, ranges, delta):
-                heap.offer(instance_flow(series, ranges), ranges)
+    for ranges in maximal_candidates(series, delta, heap.threshold):
+        heap.offer(instance_flow(series, ranges), ranges)
 
 
 def topk_flows(
@@ -97,22 +78,3 @@ def topk_flows(
         topk_scan_match(series, delta, heap)
     return heap.flows()
 
-
-def topk_instances_match(
-    series: Sequence[Series], delta: float, k: int
-) -> list[tuple[float, Instance]]:
-    """Top-k (flow, Instance) of a single structural match, best first."""
-    heap = TopKHeap(k)
-    topk_scan_match(series, delta, heap)
-    return [
-        (
-            f,
-            Instance(
-                ranges=r,
-                flow=f,
-                t_start=series[0].ts[r[0][0]],
-                t_end=series[-1].ts[r[-1][1]],
-            ),
-        )
-        for f, r in heap.items()
-    ]

@@ -212,7 +212,6 @@ def fig12_kernel(
     implementation actually makes.
     """
     from repro.core.dp import max_flow as dp_max_flow
-    from repro.core.instances import Series
     from repro.core.topk import TopKHeap, topk_scan_match
 
     rows = []
@@ -222,10 +221,7 @@ def fig12_kernel(
         for name in motifs:
             motif = MOTIFS[name]
             wide = sp.matches_with_series(edges, motif).collect()
-            all_series = [
-                [Series(zip(r[f"ts{i}"], r[f"fs{i}"])) for i in range(motif.m)]
-                for r in wide
-            ]
+            all_series = [sp.row_series(r, motif.m) for r in wide]
             t0 = time.perf_counter()
             heap = TopKHeap(1)
             for series in all_series:

@@ -26,6 +26,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.core.instances import within_delta
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
 from repro.spark.structural import node_columns
@@ -61,7 +62,7 @@ def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
                 for i in range(n):
                     acc = 0.0
                     for j in range(i, n):
-                        if ts[j] - ts[i] > delta:
+                        if not within_delta(ts[i], ts[j], delta):
                             break
                         acc += fs[j]
                         if acc >= phi:
@@ -109,6 +110,49 @@ def intervals_sql(delta: float, phi: float, table: str = "edges") -> str:
     """
 
 
+def _cascade(edges: DataFrame, motif: Motif, delta: float, phi: float) -> Iterator[DataFrame]:
+    """The join cascade along the spanning path, one frame per step.
+
+    Yields the interval table renamed as motif edge 1, then the frame after
+    each join that adds the next motif edge (head-to-tail connectivity,
+    strict time order, running duration bound). The vertex bijection is
+    left to the caller.
+    """
+    iv = intervals(edges, delta, phi)
+    path = motif.path
+
+    def step(i: int) -> DataFrame:
+        return iv.select(
+            F.col("src").alias(f"_u{i}"),
+            F.col("dst").alias(f"_w{i}"),
+            F.col("ts").alias(f"ts{i}"),
+            F.col("te").alias(f"te{i}"),
+            F.col("f").alias(f"f{i}"),
+            F.col("prev_t").alias(f"prev{i}"),
+            F.col("next_t").alias(f"next{i}"),
+        )
+
+    out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
+        "_w0", f"v{path[1]}"
+    )
+    yield out
+    bound = {path[0], path[1]}
+    for i in range(1, motif.m):
+        a, b = path[i], path[i + 1]
+        cond: Column = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
+            F.col(f"ts{i}") > F.col(f"te{i-1}")  # strict time order
+        ) & (
+            F.col(f"te{i}") - F.col("ts0") <= F.lit(delta)  # running duration, as within_delta
+        )
+        out = out.join(step(i), on=cond, how="inner").drop(f"_u{i}")
+        if b in bound:
+            out = out.filter(F.col(f"_w{i}") == F.col(f"v{b}")).drop(f"_w{i}")
+        else:
+            out = out.withColumnRenamed(f"_w{i}", f"v{b}")
+            bound.add(b)
+        yield out
+
+
 def candidate_instances_join(
     edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> DataFrame:
@@ -119,39 +163,7 @@ def candidate_instances_join(
     that is structurally, temporally and flow-wise compatible); counting
     them quantifies the blow-up relative to the final maximal instances.
     """
-    iv = intervals(edges, delta, phi)
-    path = motif.path
-    m = motif.m
-
-    def step(i: int) -> DataFrame:
-        cols = [
-            F.col("src").alias(f"_u{i}"),
-            F.col("dst").alias(f"_w{i}"),
-            F.col("ts").alias(f"ts{i}"),
-            F.col("te").alias(f"te{i}"),
-            F.col("f").alias(f"f{i}"),
-            F.col("prev_t").alias(f"prev{i}"),
-            F.col("next_t").alias(f"next{i}"),
-        ]
-        return iv.select(*cols)
-
-    out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
-        "_w0", f"v{path[1]}"
-    )
-    bound = {path[0], path[1]}
-    for i in range(1, m):
-        a, b = path[i], path[i + 1]
-        cond: Column = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
-            F.col(f"ts{i}") > F.col(f"te{i-1}")  # strict time order
-        ) & (
-            F.col(f"te{i}") - F.col("ts0") <= F.lit(delta)  # running duration
-        )
-        out = out.join(step(i), on=cond, how="inner").drop(f"_u{i}")
-        if b in bound:
-            out = out.filter(F.col(f"_w{i}") == F.col(f"v{b}")).drop(f"_w{i}")
-        else:
-            out = out.withColumnRenamed(f"_w{i}", f"v{b}")
-            bound.add(b)
+    *_, out = _cascade(edges, motif, delta, phi)
     for i in range(motif.n_nodes):
         for j in range(i + 1, motif.n_nodes):
             out = out.filter(F.col(f"v{i}") != F.col(f"v{j}"))
@@ -167,38 +179,10 @@ def join_intermediate_counts(
     sub-motif instances the paper identifies as the baseline's redundant
     intermediate work ("many ... do not end up as components of any
     instance of the complete motif"). Compare the peak against the final
-    maximal-instance count.
+    maximal-instance count. The last entry is counted before the vertex
+    bijection filter.
     """
-    iv = intervals(edges, delta, phi)
-    path = motif.path
-    m = motif.m
-    counts = [iv.count()]
-
-    def step(i: int) -> DataFrame:
-        return iv.select(
-            F.col("src").alias(f"_u{i}"),
-            F.col("dst").alias(f"_w{i}"),
-            F.col("ts").alias(f"ts{i}"),
-            F.col("te").alias(f"te{i}"),
-        )
-
-    out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
-        "_w0", f"v{path[1]}"
-    )
-    bound = {path[0], path[1]}
-    for i in range(1, m):
-        a, b = path[i], path[i + 1]
-        cond = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
-            F.col(f"ts{i}") > F.col(f"te{i-1}")
-        ) & (F.col(f"te{i}") - F.col("ts0") <= F.lit(delta))
-        out = out.join(step(i), on=cond, how="inner").drop(f"_u{i}")
-        if b in bound:
-            out = out.filter(F.col(f"_w{i}") == F.col(f"v{b}")).drop(f"_w{i}")
-        else:
-            out = out.withColumnRenamed(f"_w{i}", f"v{b}")
-            bound.add(b)
-        counts.append(out.count())
-    return counts
+    return [df.count() for df in _cascade(edges, motif, delta, phi)]
 
 
 def find_instances_join(

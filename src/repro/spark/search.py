@@ -18,16 +18,17 @@ plain Catalyst plan.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
+    ArrayType,
     DoubleType,
     IntegerType,
     LongType,
-    StringType,
     StructField,
     StructType,
 )
@@ -35,9 +36,12 @@ from pyspark.sql.types import (
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
-from repro.core.topk import topk_instances_match
+from repro.core.topk import TopKHeap, topk_scan_match
 from repro.spark.graph import distinct_pairs, timeseries_graph
 from repro.spark.structural import node_columns, structural_matches_df
+
+_PARTITIONS_PER_CORE = 2  # P2 tasks per default-parallelism slot
+_OUT_BATCH_ROWS = 10_000  # rows per frame handed back to Spark (Arrow's default)
 
 
 def matches_with_series(edges: DataFrame, motif: Motif) -> DataFrame:
@@ -65,12 +69,43 @@ def matches_with_series(edges: DataFrame, motif: Motif) -> DataFrame:
     return out
 
 
-def _row_series(row, m: int) -> list[Series]:
-    """Rebuild the per-edge Series list from a wide match row."""
-    return [
-        Series(zip(row[f"ts{i}"], row[f"fs{i}"]))
-        for i in range(m)
-    ]
+def row_series(row, m: int) -> list[Series]:
+    """The per-edge Series list of one :func:`matches_with_series` row.
+
+    ``row`` is a collected ``Row`` or a pandas ``itertuples`` tuple.
+    """
+    return [Series(zip(getattr(row, f"ts{i}"), getattr(row, f"fs{i}"))) for i in range(m)]
+
+
+def _per_match(
+    edges: DataFrame,
+    motif: Motif,
+    schema: StructType,
+    scan: Callable[[Iterator[tuple]], Iterable[tuple]],
+) -> DataFrame:
+    """P2: run ``scan`` over every structural match, one partition at a time.
+
+    ``scan`` maps a partition's stream of (wide row, per-edge Series) pairs
+    to output tuples in ``schema``'s column order; state it keeps across
+    matches (the top-k heap) lives for one partition.
+    """
+    wide = matches_with_series(edges, motif)
+    n_parts = wide.sparkSession.sparkContext.defaultParallelism * _PARTITIONS_PER_CORE
+    m, cols = motif.m, schema.fieldNames()
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        matches = (
+            (row, row_series(row, m)) for pdf in batches for row in pdf.itertuples(index=False)
+        )
+        rows = iter(scan(matches))
+        while chunk := list(islice(rows, _OUT_BATCH_ROWS)):
+            yield pd.DataFrame(chunk, columns=cols)
+
+    return wide.repartition(n_parts).mapInPandas(kernel, schema=schema)
+
+
+def _pair_array(a: str, b: str, kind) -> ArrayType:
+    return ArrayType(StructType([StructField(a, kind), StructField(b, kind)]))
 
 
 def _instances_schema(motif: Motif) -> StructType:
@@ -80,151 +115,78 @@ def _instances_schema(motif: Motif) -> StructType:
         StructField("t_start", DoubleType()),
         StructField("t_end", DoubleType()),
         StructField("n_interactions", IntegerType()),
-        StructField("ranges", StringType()),
-        # per-edge (first, last) timestamps — the instance's edge windows,
-        # comparable 1:1 with the join baseline's interval columns
-        StructField("edge_windows", StringType()),
+        StructField("ranges", _pair_array("s", "e", IntegerType())),
+        StructField("edge_windows", _pair_array("ts", "te", DoubleType())),
     ]
     return StructType(fields)
 
 
-_PD_DTYPES = {
-    "long": "int64",
-    "integer": "int32",
-    "double": "float64",
-    "string": "object",
-}
-
-
-def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
-    """Rows -> pandas frame with explicit dtypes.
-
-    Empty batches must still carry the right dtypes or the Arrow conversion
-    back to Spark rejects the (object-typed) empty columns.
-    """
-    cols = [f.name for f in schema.fields]
-    if rows:
-        return pd.DataFrame(rows, columns=cols)
-    return pd.DataFrame(
-        {f.name: pd.Series(dtype=_PD_DTYPES[f.dataType.typeName()]) for f in schema.fields}
-    )
-
-
-def _repartitioned(df: DataFrame, parallelism: int | None) -> DataFrame:
-    if parallelism is None:
-        parallelism = df.sparkSession.sparkContext.defaultParallelism * 2
-    return df.repartition(parallelism)
-
-
-def find_instances(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    phi: float,
-    *,
-    parallelism: int | None = None,
-) -> DataFrame:
+def find_instances(edges: DataFrame, motif: Motif, delta: float, phi: float) -> DataFrame:
     """All maximal instances of ``motif``: one row per instance.
 
-    Columns: the match binding ``v0..v{n-1}``, Equation 1's ``flow``, the
-    instance span ``t_start``/``t_end``, the number of interactions used,
-    and the per-edge index ranges serialized as a string (for exact
-    comparison against the pure-Python reference in tests).
+    Columns:
+
+    - ``v0..v{n-1}`` (long): the structural match binding;
+    - ``flow`` (double): Equation 1's instance flow;
+    - ``t_start``/``t_end`` (double): the instance span;
+    - ``n_interactions`` (int): interactions used, over all edge-sets;
+    - ``ranges`` (``array<struct<s:int,e:int>>``): per motif edge, the
+      inclusive index range of its edge-set in that edge's series;
+    - ``edge_windows`` (``array<struct<ts:double,te:double>>``): per motif
+      edge, the first and last timestamp of its edge-set, comparable 1:1
+      with the join baseline's ``ts{i}``/``te{i}`` columns.
     """
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
     vcols = node_columns(motif)
-    m = motif.m
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            rows: list[tuple] = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                series = _row_series(rd, m)
-                for inst in enumerate_instances(series, delta, phi):
-                    windows = tuple(
-                        (float(r.ts[s]), float(r.ts[e]))
-                        for r, (s, e) in zip(series, inst.ranges)
-                    )
-                    rows.append(
-                        tuple(int(rd[c]) for c in vcols)
-                        + (
-                            float(inst.flow),
-                            float(inst.t_start),
-                            float(inst.t_end),
-                            int(sum(e - s + 1 for s, e in inst.ranges)),
-                            repr(inst.ranges),
-                            repr(windows),
-                        )
-                    )
-            yield _typed_frame(_instances_schema(motif), rows)
+    def scan(matches):
+        for row, series in matches:
+            match = tuple(getattr(row, c) for c in vcols)
+            for inst in enumerate_instances(series, delta, phi):
+                yield match + (
+                    inst.flow,
+                    inst.t_start,
+                    inst.t_end,
+                    sum(e - s + 1 for s, e in inst.ranges),
+                    inst.ranges,
+                    [(r.ts[s], r.ts[e]) for r, (s, e) in zip(series, inst.ranges)],
+                )
 
-    return wide.mapInPandas(kernel, schema=_instances_schema(motif))
+    return _per_match(edges, motif, _instances_schema(motif), scan)
 
 
-def count_instances(
-    edges: DataFrame, motif: Motif, delta: float, phi: float, **kw
-) -> int:
+def count_instances(edges: DataFrame, motif: Motif, delta: float, phi: float) -> int:
     """Number of maximal instances in the graph (Figs. 9/10/13/14)."""
-    return find_instances(edges, motif, delta, phi, **kw).count()
+    return find_instances(edges, motif, delta, phi).count()
 
 
-def topk_flows(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    k: int,
-    *,
-    parallelism: int | None = None,
-) -> list[float]:
+_FLOW_SCHEMA = StructType([StructField("flow", DoubleType())])
+
+
+def topk_flows(edges: DataFrame, motif: Motif, delta: float, k: int) -> list[float]:
     """Flows of the global top-k instances, best first (Fig. 11).
 
-    Each executor runs the floating-threshold heap per match (phi = 0 plus
-    the k-th-best-so-far prune of § 5), emitting at most k flows per match;
-    the global top-k is a Catalyst sort-limit over those candidates.
+    Each partition runs one floating-threshold heap over all its matches
+    (phi = 0 plus the k-th-best-so-far prune of § 5) and emits at most k
+    flows; the global top-k is a Catalyst sort-limit over those candidates.
     """
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
-    m = motif.m
-    schema = StructType([StructField("flow", DoubleType())])
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            flows: list[float] = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                series = _row_series(rd, m)
-                flows.extend(
-                    f for f, _ in topk_instances_match(series, delta, k)
-                )
-            yield pd.DataFrame({"flow": pd.Series(flows, dtype="float64")})
+    def scan(matches):
+        heap = TopKHeap(k)
+        for _, series in matches:
+            topk_scan_match(series, delta, heap)
+        return [(f,) for f in heap.flows()]
 
-    out = wide.mapInPandas(kernel, schema=schema)
-    return [
-        r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()
-    ]
+    out = _per_match(edges, motif, _FLOW_SCHEMA, scan)
+    return [r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()]
 
 
-def max_flow(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    *,
-    parallelism: int | None = None,
-) -> float:
+def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:
     """Top-1 instance flow via the Algorithm 2 DP module (Fig. 12)."""
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
-    m = motif.m
-    schema = StructType([StructField("flow", DoubleType())])
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            flows = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                flows.append(dp_max_flow(_row_series(rd, m), delta))
-            yield pd.DataFrame({"flow": pd.Series(flows, dtype="float64")})
+    def scan(matches):
+        return ((dp_max_flow(series, delta),) for _, series in matches)
 
-    out = wide.mapInPandas(kernel, schema=schema)
+    out = _per_match(edges, motif, _FLOW_SCHEMA, scan)
     row = out.agg(F.max("flow").alias("mf")).collect()[0]
     return float(row.mf) if row.mf is not None else 0.0
 

@@ -5,7 +5,6 @@ Here we add small deterministic interaction graphs (hand-built and
 generator-sampled) and comparison helpers between the distributed pipeline
 and the pure-Python reference.
 """
-import ast
 import random
 
 import pandas as pd
@@ -59,7 +58,7 @@ def spark_instance_set(df, n_nodes: int):
     out = set()
     for row in df.collect():
         match = tuple(int(row[f"v{i}"]) for i in range(n_nodes))
-        windows = ast.literal_eval(row.edge_windows)
+        windows = tuple(tuple(w) for w in row.edge_windows)
         out.add((match, windows, round(row.flow, 6)))
     return out
 

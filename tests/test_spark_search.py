@@ -25,6 +25,10 @@ class TestFindInstances:
         assert r.flow == 10.0
         assert (r.t_start, r.t_end) == (10.0, 18.0)
         assert r.n_interactions == 4
+        assert [tuple(w) for w in r.edge_windows] == [(10, 10), (13, 15), (18, 18)]
+        assert [tuple(x) for x in r.ranges] == [(0, 0), (0, 1), (0, 0)]
+        assert (r.edge_windows[1].ts, r.edge_windows[1].te) == (13.0, 15.0)
+        assert (r.ranges[1].s, r.ranges[1].e) == (0, 1)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)"])
