@@ -1,8 +1,9 @@
 """Fig. 14 benchmark: significance of motifs via flow permutation.
 
-Each cell runs the full real-vs-randomized comparison (n_random permuted
-graphs; the paper uses 20, we default to 3 here for benchmark runtime — the
-jobs entrypoint supports any value) and records the z-score.
+Each cell runs the full real-vs-randomized comparison and records the
+z-score. One call builds P1 and the series attach once and counts the real
+graph and its N_RANDOM flow-permuted graphs in one P2 pass. N_RANDOM is 3
+here; ``significance`` and the jobs entrypoint default to the paper's 20.
 """
 import pytest
 

@@ -2,7 +2,7 @@
 """Reproduce Fig. 14: motif significance via flow-permuted random graphs.
 
 Usage: spark-submit jobs/fig14_significance.py [--sf 0.5] [--seed 0]
-       [--n-random 5] (the paper uses 20)
+       [--n-random 20] (the paper's R)
 """
 import argparse
 
@@ -15,7 +15,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=experiments.DEFAULT_SF)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-random", type=int, default=5)
+    ap.add_argument("--n-random", type=int, default=20)
     args = ap.parse_args()
     spark = SparkSession.builder.appName("fig14").getOrCreate()
     df = experiments.fig14_significance(

@@ -6,9 +6,11 @@ generator-sampled) and comparison helpers between the distributed pipeline
 and the pure-Python reference.
 """
 import random
+import re
 
 import pandas as pd
 import pytest
+from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.core.motif import Motif
 from repro.core.search import Edge, search_graph
@@ -75,3 +77,35 @@ def passenger_small(spark):
     from repro import synth_data
 
     return synth_data.interactions(spark, "passenger", sf=0.5, seed=0).cache()
+
+
+_EXCHANGE_LINE = re.compile(r"^[\s:+\-|*]*(?:Reused)?Exchange\b")
+
+
+def _exchanges(df) -> int:
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    final = plan.split("== Initial Plan ==")[0]
+    return sum(1 for line in final.splitlines() if _EXCHANGE_LINE.match(line))
+
+
+@pytest.fixture
+def action_exchanges(monkeypatch):
+    """Exchange counts of every ``collect``/``count`` action, in call order."""
+    seen: list[int] = []
+    collect = DataFrame.collect
+
+    def spy_collect(self):
+        rows = collect(self)
+        seen.append(_exchanges(self))
+        return rows
+
+    def spy_count(self):
+        # Dataset.count runs the plan of groupBy().count().
+        agg = self.groupBy().count()
+        n = collect(agg)[0][0]
+        seen.append(_exchanges(agg))
+        return n
+
+    monkeypatch.setattr(DataFrame, "collect", spy_collect)
+    monkeypatch.setattr(DataFrame, "count", spy_count)
+    return seen

@@ -4,49 +4,14 @@ Each call's final action is captured by wrapping ``DataFrame.collect`` and
 ``DataFrame.count``, and the post-execution (post-AQE) physical plan is
 scanned for ``Exchange`` and ``ReusedExchange`` operators. The pinned counts
 guard the plan shape: a refactor of the P2 driver or the join cascade must
-not add a shuffle.
+not add a shuffle. The ``action_exchanges`` spy lives in ``tests/conftest.py``.
 """
-import re
-
 import pytest
-from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.core.motif import MOTIFS
 from repro.spark import join_baseline as jb
 from repro.spark import search as sp
 from tests.conftest import random_edges, to_spark_edges
-
-_EXCHANGE_LINE = re.compile(r"^[\s:+\-|*]*(?:Reused)?Exchange\b")
-
-
-def _exchanges(df) -> int:
-    plan = df._jdf.queryExecution().executedPlan().toString()
-    final = plan.split("== Initial Plan ==")[0]
-    return sum(1 for line in final.splitlines() if _EXCHANGE_LINE.match(line))
-
-
-@pytest.fixture
-def action_exchanges(monkeypatch):
-    """Exchange counts of every ``collect``/``count`` action, in call order."""
-    seen: list[int] = []
-    collect = DataFrame.collect
-
-    def spy_collect(self):
-        rows = collect(self)
-        seen.append(_exchanges(self))
-        return rows
-
-    def spy_count(self):
-        # Dataset.count runs the plan of groupBy().count().
-        agg = self.groupBy().count()
-        n = collect(agg)[0][0]
-        seen.append(_exchanges(agg))
-        return n
-
-    monkeypatch.setattr(DataFrame, "collect", spy_collect)
-    monkeypatch.setattr(DataFrame, "count", spy_count)
-    return seen
-
 
 @pytest.mark.parametrize(
     "call, expected",

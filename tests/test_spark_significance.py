@@ -9,6 +9,16 @@ from repro.spark.significance import SignificanceResult, permute_flows, signific
 from tests.conftest import random_edges, to_spark_edges
 
 
+def _by_definition(edges, motif, delta, phi, n_random, seed):
+    """The counts :func:`significance` replaces: one pipeline per graph."""
+    real = sp.count_instances(edges, motif, delta, phi)
+    randoms = tuple(
+        sp.count_instances(permute_flows(edges, seed * 1000 + r), motif, delta, phi)
+        for r in range(n_random)
+    )
+    return real, randoms
+
+
 class TestPermuteFlows:
     def test_skeleton_preserved(self, spark):
         edges = to_spark_edges(spark, random_edges(0, n_nodes=6, n_edges=30))
@@ -111,3 +121,43 @@ class TestSignificance:
         )
         assert res.real_count > res.mean
         assert res.z_score > 0
+
+    @pytest.mark.parametrize("phi", [0.0, 4.0])
+    @pytest.mark.parametrize("name", ["M(3,2)", "M(4,3)"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_pass_equals_definition(self, spark, seed, name, phi):
+        edges = to_spark_edges(spark, random_edges(seed, n_nodes=6, n_edges=35))
+        motif = MOTIFS[name]
+        res = significance(edges, motif, 12.0, phi, n_random=2, seed=seed)
+        assert (res.real_count, res.random_counts) == _by_definition(
+            edges, motif, 12.0, phi, 2, seed
+        )
+
+    def test_one_pass_equals_definition_generated(self, passenger_small):
+        from repro.networks.generators import SPECS
+
+        spec = SPECS["passenger"]
+        args = (passenger_small, MOTIFS["M(3,2)"], spec.delta_default, spec.phi_default)
+        res = significance(*args, n_random=2, seed=3)
+        assert (res.real_count, res.random_counts) == _by_definition(*args, 2, 3)
+
+    @pytest.mark.parametrize("n_random", [0, -1])
+    def test_rejects_no_random_graphs(self, spark, action_exchanges, n_random):
+        edges = to_spark_edges(spark, self._coherent_graph())
+        with pytest.raises(ValueError, match="n_random"):
+            significance(edges, MOTIFS["M(3,2)"], 10.0, 9.0, n_random=n_random)
+        assert action_exchanges == []
+
+    def test_action_count_independent_of_n_random(self, spark, action_exchanges):
+        edges = to_spark_edges(spark, self._coherent_graph())
+        significance(edges, MOTIFS["M(3,2)"], 10.0, 9.0, n_random=1)
+        one = len(action_exchanges)
+        significance(edges, MOTIFS["M(3,2)"], 10.0, 9.0, n_random=5)
+        assert len(action_exchanges) == 2 * one
+
+    def test_no_match_gives_zero_counts(self, spark):
+        # Two disjoint pairs: no path a -> b -> c, so no M(3,2) match.
+        edges = to_spark_edges(spark, [(0, 1, 1.0, 5.0), (0, 1, 2.0, 5.0), (2, 3, 3.0, 5.0)])
+        res = significance(edges, MOTIFS["M(3,2)"], 10.0, 1.0, n_random=3)
+        assert res.real_count == 0
+        assert res.random_counts == (0, 0, 0)
